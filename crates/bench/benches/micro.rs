@@ -76,7 +76,7 @@ fn bench_aggregate(c: &mut Criterion) {
 }
 
 fn bench_reassembly(c: &mut Criterion) {
-    let payload = vec![7u8; 1 << 20];
+    let payload = Bytes::from(vec![7u8; 1 << 20]);
     c.bench_function("reassembly/1MB_in_16_chunks", |b| {
         b.iter(|| {
             let mut r = Reassembler::new();
@@ -91,7 +91,7 @@ fn bench_reassembly(c: &mut Criterion) {
                         1,
                         off as u64,
                         payload.len() as u64,
-                        &payload[off..off + chunk],
+                        &payload.slice(off..off + chunk),
                     )
                     .unwrap();
             }

@@ -1006,9 +1006,11 @@ fn cmd_metrics_reactor(kind: StrategyKind, size: usize, messages: usize) -> Resu
 }
 
 /// The per-packet cost lines shared by both `metrics` paths: syscalls
-/// per packet under batched rail I/O, and the pool-magazine hit rate
-/// (how often a buffer came from the thread-local magazine instead of
-/// the shared pool or a fresh allocation).
+/// per packet under batched rail I/O, the pool-magazine hit rate (how
+/// often a buffer came from the thread-local magazine instead of the
+/// shared pool or a fresh allocation) and the datapath copies — the
+/// budgeted ones, then the TCP ring carry and reassembly concatenation
+/// reported beside them.
 fn print_syscall_and_magazine_lines(s: &nmad_core::EngineStats) {
     let sc = &s.syscalls;
     println!(
@@ -1029,6 +1031,15 @@ fn print_syscall_and_magazine_lines(s: &nmad_core::EngineStats) {
         dp.pool_hits + dp.hot_path_allocs,
         dp.pool_magazine_refills,
         dp.pool_magazine_flushes,
+    );
+    println!(
+        "  copies    {} B in the copy budget (tx staged {}, rx {}); beside it: rx carry {} B, reassembly concat {} B, rx blocks taken {}",
+        dp.total_copied_bytes(),
+        dp.tx_staged_copy_bytes,
+        dp.rx_copy_bytes,
+        dp.rx_carry_bytes,
+        dp.rx_reassembly_copy_bytes,
+        dp.rx_block_allocs,
     );
 }
 

@@ -461,6 +461,14 @@ impl Engine {
         self.stats.syscalls = syscalls;
     }
 
+    /// Mirror the TCP receive rings' totals (same discipline as
+    /// [`Engine::note_syscalls`]): bytes the rings copied and blocks they
+    /// took from their block source.
+    pub fn note_rx_ring(&mut self, carry_bytes: u64, block_allocs: u64) {
+        self.stats.datapath.rx_carry_bytes = carry_bytes;
+        self.stats.datapath.rx_block_allocs = block_allocs;
+    }
+
     /// Mirror the reactor pool's event-loop telemetry into the stats
     /// (same discipline as [`Engine::note_syscalls`]: the reactor
     /// workers count lock-free, the scheduler stores snapshots here).
@@ -1948,7 +1956,8 @@ impl Engine {
     ) -> Result<Option<MessageAssembly>, EngineError> {
         let acked = self.config.acked;
         let rx = self.rx_conn(conn)?;
-        if acked {
+        let copied_before = rx.reassembler.copied_bytes();
+        let done = if acked {
             let (done, new_bytes) = rx.reassembler.insert_chunk_lenient(
                 p.msg_id,
                 p.seg_index,
@@ -1960,19 +1969,20 @@ impl Engine {
             if new_bytes == 0 {
                 self.stats.duplicates_dropped += 1;
             }
-            Ok(done)
+            done
         } else {
-            rx.reassembler
-                .insert_chunk(
-                    p.msg_id,
-                    p.seg_index,
-                    p.total_segs,
-                    p.offset,
-                    p.total_len,
-                    &p.data,
-                )
-                .map_err(Into::into)
-        }
+            rx.reassembler.insert_chunk(
+                p.msg_id,
+                p.seg_index,
+                p.total_segs,
+                p.offset,
+                p.total_len,
+                &p.data,
+            )?
+        };
+        let copied = self.rx_conn(conn)?.reassembler.copied_bytes() - copied_before;
+        self.stats.datapath.rx_reassembly_copy_bytes += copied;
+        Ok(done)
     }
 
     fn rx_conn(&mut self, conn: ConnId) -> Result<&mut ConnRx, EngineError> {

@@ -499,6 +499,8 @@ pub struct SyscallCounters {
     tx_frames: AtomicU64,
     rx_calls: AtomicU64,
     rx_frames: AtomicU64,
+    rx_carry_bytes: AtomicU64,
+    rx_block_allocs: AtomicU64,
 }
 
 impl SyscallCounters {
@@ -514,6 +516,24 @@ impl SyscallCounters {
     pub fn add_rx(&self, calls: u64, frames: u64) {
         self.rx_calls.fetch_add(calls, Ordering::Relaxed);
         self.rx_frames.fetch_add(frames, Ordering::Relaxed);
+    }
+
+    /// Record receive-ring work: `carry_bytes` the ring copied,
+    /// `block_allocs` blocks it took from its block source.
+    pub fn add_rx_ring(&self, carry_bytes: u64, block_allocs: u64) {
+        self.rx_carry_bytes
+            .fetch_add(carry_bytes, Ordering::Relaxed);
+        self.rx_block_allocs
+            .fetch_add(block_allocs, Ordering::Relaxed);
+    }
+
+    /// Receive-ring totals as `(carry_bytes, block_allocs)`, mirrored
+    /// into [`crate::stats::DataPathStats`] via `Engine::note_rx_ring`.
+    pub fn rx_ring(&self) -> (u64, u64) {
+        (
+            self.rx_carry_bytes.load(Ordering::Relaxed),
+            self.rx_block_allocs.load(Ordering::Relaxed),
+        )
     }
 
     /// Consistent-enough snapshot for stats mirroring.
@@ -904,6 +924,8 @@ impl ParallelHub {
         }
         eng.note_overload(overload);
         eng.note_syscalls(self.syscalls.snapshot());
+        let (carry_bytes, block_allocs) = self.syscalls.rx_ring();
+        eng.note_rx_ring(carry_bytes, block_allocs);
         if let Some(source) = self.reactor_source.lock().as_ref() {
             eng.note_reactor(source());
         }

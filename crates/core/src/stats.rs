@@ -52,6 +52,20 @@ pub struct DataPathStats {
     pub rx_copy_bytes: u64,
     /// Payload bytes sliced zero-copy out of received frames.
     pub rx_zero_copy_bytes: u64,
+    /// Stream bytes the TCP receive rings copied: a partial frame a read
+    /// left behind (at most one read), small frames copied out of a
+    /// block that keeps filling, and frames copied while every block a
+    /// ring may hold is pinned. Reported beside, not inside,
+    /// [`Self::total_copied_bytes`].
+    pub rx_carry_bytes: u64,
+    /// Payload bytes reassembly copied to join a segment that arrived in
+    /// several chunks (single-chunk segments are delivered as the
+    /// received slice). Reported beside, not inside,
+    /// [`Self::total_copied_bytes`].
+    pub rx_reassembly_copy_bytes: u64,
+    /// Blocks the TCP receive rings took from their block source because
+    /// no retired block was free yet (flat once the rings are warm).
+    pub rx_block_allocs: u64,
     /// Fresh allocations taken on the hot path (head buffers or staging
     /// slabs the pool could not satisfy).
     pub hot_path_allocs: u64,
@@ -78,6 +92,9 @@ pub struct DataPathStats {
 
 impl DataPathStats {
     /// Total payload bytes copied on the hot path (tx staging + rx).
+    /// The receive ring's carry and reassembly's concatenation are
+    /// counted separately ([`Self::rx_carry_bytes`],
+    /// [`Self::rx_reassembly_copy_bytes`]).
     pub fn total_copied_bytes(&self) -> u64 {
         self.tx_staged_copy_bytes + self.rx_copy_bytes
     }

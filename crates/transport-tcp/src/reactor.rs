@@ -57,10 +57,8 @@ use nmad_sim::Xoshiro256StarStar;
 use nmad_wire::PacketFrame;
 use parking_lot::Mutex;
 
-use crate::{
-    carve_frames, chaos_drops, gather_batch_slices, LEN_PREFIX, MAX_IOVECS, READ_CHUNK,
-    READ_CHUNK_MAX, TX_BATCH,
-};
+use crate::rx_ring::RxRing;
+use crate::{chaos_drops, gather_batch_slices, LEN_PREFIX, MAX_IOVECS, TX_BATCH};
 
 /// Ceiling on the auto-sized worker pool.
 pub const DEFAULT_MAX_WORKERS: usize = 4;
@@ -694,14 +692,16 @@ struct RailConn {
     rail: usize,
     hub: Arc<ParallelHub>,
     outbox: OutboxReceiver,
-    rx_buf: BytesMut,
-    rx_chunk: usize,
+    /// Receive ring; its blocks come from and return to the worker's
+    /// magazine.
+    rx: RxRing,
     /// Staged TX batch (drained from the outbox), resumed across
     /// partial writes via the PR 7 gather-list builder.
     frames: Vec<PacketFrame>,
     prefixes: Vec<[u8; LEN_PREFIX]>,
     tokens: Vec<TxToken>,
     tx_off: usize,
+    /// Frames carved by the current read (reused scratch).
     carved: Vec<PacketFrame>,
     chaos: Option<ChaosState>,
     rng: Xoshiro256StarStar,
@@ -859,15 +859,13 @@ impl Worker {
             Pending::Rail(spec) => {
                 spec.stream.set_nonblocking(true)?;
                 spec.stream.set_nodelay(true)?;
-                let rx_buf = self.magazine.take(READ_CHUNK);
                 Conn {
                     kind: Kind::Rail(Box::new(RailConn {
                         stream: spec.stream,
                         rail: spec.rail,
                         hub: spec.hub,
                         outbox: spec.outbox,
-                        rx_buf,
-                        rx_chunk: READ_CHUNK,
+                        rx: RxRing::default(),
                         frames: Vec::with_capacity(TX_BATCH),
                         prefixes: Vec::with_capacity(TX_BATCH),
                         tokens: Vec::with_capacity(TX_BATCH),
@@ -923,7 +921,7 @@ impl Worker {
             }
             Kind::Rail(r) => {
                 self.rail_slots.retain(|&s| s != slot);
-                self.magazine.reclaim(r.rx_buf.freeze());
+                r.rx.release(&mut self.magazine);
             }
             Kind::Listener(_) => {}
         }
@@ -1094,76 +1092,45 @@ impl Worker {
         }
     }
 
-    /// Rail RX: read to `WouldBlock`, carve frames, hand them to the
-    /// hub's completion queue (identical framing to the thread-per-rail
-    /// RX worker, including the adaptive chunk).
+    /// Rail RX: read to `WouldBlock` through the receive ring and hand
+    /// the carved frames to the hub's completion queue (the same ring as
+    /// the other runtimes, drawing its blocks from `magazine`).
     fn pump_rail_rx(conn: &mut Conn, counters: &Counters, magazine: &mut Magazine) -> Pump {
         let Kind::Rail(r) = &mut conn.kind else {
             return Pump::Idle;
         };
         loop {
-            let old = r.rx_buf.len();
-            if r.rx_buf.capacity() - old < r.rx_chunk {
-                // Carved frames still hold the current block, so an
-                // in-place `resize` would be an unpooled reallocation.
-                // Swap in a fresh pool block instead: copy the residual
-                // partial frame (bounded by one header + chunk) and
-                // return the old block to the pool once the frames drop.
-                let mut fresh = magazine.take((old + r.rx_chunk).max(READ_CHUNK));
-                fresh.extend_from_slice(&r.rx_buf[..old]);
-                let stale = std::mem::replace(&mut r.rx_buf, fresh);
-                magazine.reclaim(stale.freeze());
+            let res = r.rx.read_from(&mut r.stream, magazine, &mut r.carved);
+            let c = r.rx.take_counts();
+            r.hub.syscalls.add_rx_ring(c.carry_bytes, c.block_takes);
+            // Tripwire, zero by construction: every block comes from the
+            // magazine with the capacity the ring asked for, so a block
+            // the ring had to grow itself means a hot-path allocation
+            // snuck back in. Gated at
+            // zero by `ablate_reactor`, like the recorder drops in
+            // `ablate_obs`.
+            counters
+                .hot_path_allocs
+                .fetch_add(c.grown_blocks, Ordering::Relaxed);
+            r.hub.syscalls.add_rx(0, r.carved.len() as u64);
+            for frame in r.carved.drain(..) {
+                r.hub.push_completion(
+                    r.rail,
+                    Completion::RxFrame {
+                        rail: r.rail,
+                        frame,
+                    },
+                );
             }
-            let cap = r.rx_buf.capacity();
-            r.rx_buf.resize(old + r.rx_chunk, 0);
-            if r.rx_buf.capacity() != cap {
-                // Tripwire, zero by construction: the pool swap above
-                // guarantees capacity, so any growth here means a
-                // hot-path allocation snuck back in. Gated at zero by
-                // `ablate_reactor`, like the recorder drops in
-                // `ablate_obs`.
-                counters.hot_path_allocs.fetch_add(1, Ordering::Relaxed);
-            }
-            match r.stream.read(&mut r.rx_buf[old..]) {
-                Ok(0) => {
-                    r.rx_buf.truncate(old);
-                    return Pump::Close;
-                }
-                Ok(n) => {
-                    r.rx_buf.truncate(old + n);
-                    r.hub.syscalls.add_rx(1, 0);
-                    r.rx_chunk = if n == r.rx_chunk {
-                        (r.rx_chunk * 2).min(READ_CHUNK_MAX)
-                    } else {
-                        READ_CHUNK
-                    };
-                    r.carved.clear();
-                    if carve_frames(&mut r.rx_buf, &mut r.carved).is_err() {
-                        r.hub.io_errors.fetch_add(1, Ordering::Relaxed);
-                        return Pump::Close;
-                    }
-                    r.hub.syscalls.add_rx(0, r.carved.len() as u64);
-                    for frame in r.carved.drain(..) {
-                        r.hub.push_completion(
-                            r.rail,
-                            Completion::RxFrame {
-                                rail: r.rail,
-                                frame,
-                            },
-                        );
-                    }
-                }
+            match res {
+                Ok(0) => return Pump::Close,
+                Ok(_) => r.hub.syscalls.add_rx(1, 0),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    r.rx_buf.truncate(old);
                     conn.read_ready = false;
                     return Pump::Idle;
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {
-                    r.rx_buf.truncate(old);
-                    continue;
-                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
-                    r.rx_buf.truncate(old);
                     r.hub.io_errors.fetch_add(1, Ordering::Relaxed);
                     return Pump::Close;
                 }

@@ -12,6 +12,12 @@
 //!   of byte-ranged chunks;
 //! * completion is detected per segment, then per message.
 //!
+//! Chunks are kept as the received [`Bytes`] slices, sorted and disjoint.
+//! A segment that arrived in one piece is delivered as that very slice —
+//! on TCP a slice of the receive block, so no copy at all; a segment in
+//! several pieces is concatenated once, into an exactly-sized buffer
+//! (counted in [`Reassembler::copied_bytes`]).
+//!
 //! The reassembler is strict: duplicate or overlapping data is reported as
 //! an error (the engine decides whether to tolerate it — retry logic does,
 //! normal operation treats it as a protocol bug).
@@ -118,15 +124,31 @@ enum SegState {
     Complete(Bytes),
     /// Being chunk-reassembled.
     Chunked {
-        buf: Vec<u8>,
-        /// Sorted, disjoint received intervals `(start, end)`.
-        intervals: Vec<(u64, u64)>,
+        /// Sorted, disjoint received pieces `(offset, data)`.
+        pieces: Vec<(u64, Bytes)>,
         total_len: u64,
         received: u64,
     },
 }
 
+/// Index of the first piece starting at or after `start`.
+fn piece_index(pieces: &[(u64, Bytes)], start: u64) -> usize {
+    pieces.partition_point(|(s, _)| *s < start)
+}
+
+fn piece_end((s, b): &(u64, Bytes)) -> u64 {
+    s + b.len() as u64
+}
+
 impl SegState {
+    fn chunked(total_len: u64) -> Self {
+        SegState::Chunked {
+            pieces: Vec::new(),
+            total_len,
+            received: 0,
+        }
+    }
+
     fn is_complete(&self) -> bool {
         match self {
             SegState::Complete(_) => true,
@@ -165,6 +187,8 @@ pub struct Reassembler {
     completed_count: u64,
     /// Payload bytes completed so far (accounting).
     completed_bytes: u64,
+    /// Payload bytes copied to join multi-piece segments (accounting).
+    copied_bytes: u64,
 }
 
 impl Reassembler {
@@ -186,6 +210,12 @@ impl Reassembler {
     /// Total payload bytes across completed messages.
     pub fn completed_bytes(&self) -> u64 {
         self.completed_bytes
+    }
+
+    /// Payload bytes copied so far to join segments that arrived in
+    /// more than one piece. Single-piece segments never count.
+    pub fn copied_bytes(&self) -> u64 {
+        self.copied_bytes
     }
 
     fn entry(&mut self, msg_id: MsgId, total_segs: u16) -> Result<&mut PartialMessage, ReasmError> {
@@ -240,7 +270,8 @@ impl Reassembler {
     }
 
     /// Deliver one chunk of a segment. Returns the completed message when
-    /// this chunk finished the last segment.
+    /// this chunk finished the last segment. The chunk is kept as a
+    /// refcounted slice, not copied.
     #[allow(clippy::too_many_arguments)]
     pub fn insert_chunk(
         &mut self,
@@ -249,7 +280,7 @@ impl Reassembler {
         total_segs: u16,
         offset: u64,
         total_len: u64,
-        data: &[u8],
+        data: &Bytes,
     ) -> Result<Option<MessageAssembly>, ReasmError> {
         Self::check_index(msg_id, seg_index, total_segs)?;
         if offset + data.len() as u64 > total_len {
@@ -258,44 +289,31 @@ impl Reassembler {
         let pm = self.entry(msg_id, total_segs)?;
         let slot = &mut pm.segs[seg_index as usize];
         if let SegState::Missing = slot {
-            *slot = SegState::Chunked {
-                buf: vec![0; total_len as usize],
-                intervals: Vec::new(),
-                total_len,
-                received: 0,
-            };
+            *slot = SegState::chunked(total_len);
         }
         match slot {
             SegState::Chunked {
-                buf,
-                intervals,
+                pieces,
                 total_len: have_len,
                 received,
             } => {
                 if *have_len != total_len {
                     return Err(ReasmError::LengthMismatch { msg_id, seg_index });
                 }
-                let start = offset;
                 let end = offset + data.len() as u64;
-                // Find insertion point in the sorted disjoint interval set
-                // and reject any overlap.
-                let idx = intervals.partition_point(|&(s, _)| s < start);
-                if idx > 0 && intervals[idx - 1].1 > start {
+                // Find the insertion point in the sorted disjoint piece
+                // set and reject any overlap.
+                let idx = piece_index(pieces, offset);
+                if (idx > 0 && piece_end(&pieces[idx - 1]) > offset)
+                    || (idx < pieces.len() && pieces[idx].0 < end)
+                {
                     return Err(ReasmError::OverlappingChunk {
                         msg_id,
                         seg_index,
                         offset,
                     });
                 }
-                if idx < intervals.len() && intervals[idx].0 < end {
-                    return Err(ReasmError::OverlappingChunk {
-                        msg_id,
-                        seg_index,
-                        offset,
-                    });
-                }
-                intervals.insert(idx, (start, end));
-                buf[start as usize..end as usize].copy_from_slice(data);
+                pieces.insert(idx, (offset, data.clone()));
                 *received += data.len() as u64;
                 if *received == *have_len {
                     pm.complete_segs += 1;
@@ -323,7 +341,7 @@ impl Reassembler {
         total_segs: u16,
         offset: u64,
         total_len: u64,
-        data: &[u8],
+        data: &Bytes,
     ) -> Result<(Option<MessageAssembly>, u64), ReasmError> {
         Self::check_index(msg_id, seg_index, total_segs)?;
         if offset + data.len() as u64 > total_len {
@@ -332,30 +350,25 @@ impl Reassembler {
         let pm = self.entry(msg_id, total_segs)?;
         let slot = &mut pm.segs[seg_index as usize];
         if let SegState::Missing = slot {
-            *slot = SegState::Chunked {
-                buf: vec![0; total_len as usize],
-                intervals: Vec::new(),
-                total_len,
-                received: 0,
-            };
+            *slot = SegState::chunked(total_len);
         }
         let mut new_bytes = 0u64;
         match slot {
             SegState::Chunked {
-                buf,
-                intervals,
+                pieces,
                 total_len: have_len,
                 received,
             } => {
                 if *have_len != total_len {
                     return Err(ReasmError::LengthMismatch { msg_id, seg_index });
                 }
-                // Walk the sorted disjoint interval set and copy only the
+                // Walk the sorted disjoint piece set and keep only the
                 // uncovered sub-ranges of [offset, end).
                 let end = offset + data.len() as u64;
                 let mut cur = offset;
                 let mut gaps: Vec<(u64, u64)> = Vec::new();
-                for &(s, e) in intervals.iter() {
+                for piece in pieces.iter() {
+                    let (s, e) = (piece.0, piece_end(piece));
                     if e <= cur {
                         continue;
                     }
@@ -374,10 +387,9 @@ impl Reassembler {
                     gaps.push((cur, end));
                 }
                 for &(s, e) in &gaps {
-                    buf[s as usize..e as usize]
-                        .copy_from_slice(&data[(s - offset) as usize..(e - offset) as usize]);
-                    let idx = intervals.partition_point(|&(is, _)| is < s);
-                    intervals.insert(idx, (s, e));
+                    let piece = data.slice((s - offset) as usize..(e - offset) as usize);
+                    let idx = piece_index(pieces, s);
+                    pieces.insert(idx, (s, piece));
                     new_bytes += e - s;
                 }
                 *received += new_bytes;
@@ -400,15 +412,33 @@ impl Reassembler {
         }
         debug_assert!(pm.segs.iter().all(SegState::is_complete));
         let pm = self.partial.remove(&msg_id).unwrap();
+        let mut copied = 0u64;
         let segments: Vec<Bytes> = pm
             .segs
             .into_iter()
             .map(|s| match s {
                 SegState::Complete(b) => b,
-                SegState::Chunked { buf, .. } => Bytes::from(buf),
+                SegState::Chunked {
+                    pieces, total_len, ..
+                } => {
+                    // Disjoint pieces summing to the segment: a piece as
+                    // long as the segment is the whole of it.
+                    if let Some((_, whole)) =
+                        pieces.iter().find(|(_, b)| b.len() as u64 == total_len)
+                    {
+                        return whole.clone();
+                    }
+                    let mut buf = Vec::with_capacity(total_len as usize);
+                    for (_, b) in &pieces {
+                        buf.extend_from_slice(b);
+                    }
+                    copied += total_len;
+                    Bytes::from(buf)
+                }
                 SegState::Missing => unreachable!("all segments complete"),
             })
             .collect();
+        self.copied_bytes += copied;
         let assembly = MessageAssembly { msg_id, segments };
         self.completed_count += 1;
         self.completed_bytes += assembly.total_len() as u64;
@@ -457,15 +487,15 @@ mod tests {
         let mut r = Reassembler::new();
         let payload: Vec<u8> = (0..100u8).collect();
         assert!(r
-            .insert_chunk(3, 0, 1, 60, 100, &payload[60..])
+            .insert_chunk(3, 0, 1, 60, 100, &b(&payload[60..]))
             .unwrap()
             .is_none());
         assert!(r
-            .insert_chunk(3, 0, 1, 0, 100, &payload[..30])
+            .insert_chunk(3, 0, 1, 0, 100, &b(&payload[..30]))
             .unwrap()
             .is_none());
         let done = r
-            .insert_chunk(3, 0, 1, 30, 100, &payload[30..60])
+            .insert_chunk(3, 0, 1, 30, 100, &b(&payload[30..60]))
             .unwrap()
             .unwrap();
         assert_eq!(done.segments[0].as_ref(), payload.as_slice());
@@ -477,11 +507,11 @@ mod tests {
         let big: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         assert!(r.insert_eager(9, 0, 2, b(b"small")).unwrap().is_none());
         assert!(r
-            .insert_chunk(9, 1, 2, 0, 1000, &big[..500])
+            .insert_chunk(9, 1, 2, 0, 1000, &b(&big[..500]))
             .unwrap()
             .is_none());
         let done = r
-            .insert_chunk(9, 1, 2, 500, 1000, &big[500..])
+            .insert_chunk(9, 1, 2, 500, 1000, &b(&big[500..]))
             .unwrap()
             .unwrap();
         assert_eq!(&done.segments[0][..], b"small");
@@ -505,14 +535,14 @@ mod tests {
     #[test]
     fn overlapping_chunk_rejected() {
         let mut r = Reassembler::new();
-        r.insert_chunk(1, 0, 1, 0, 100, &[0; 50]).unwrap();
-        let err = r.insert_chunk(1, 0, 1, 25, 100, &[0; 50]).unwrap_err();
+        r.insert_chunk(1, 0, 1, 0, 100, &b(&[0; 50])).unwrap();
+        let err = r.insert_chunk(1, 0, 1, 25, 100, &b(&[0; 50])).unwrap_err();
         assert!(matches!(
             err,
             ReasmError::OverlappingChunk { offset: 25, .. }
         ));
         // Exact duplicate also overlaps.
-        let err = r.insert_chunk(1, 0, 1, 0, 100, &[0; 50]).unwrap_err();
+        let err = r.insert_chunk(1, 0, 1, 0, 100, &b(&[0; 50])).unwrap_err();
         assert!(matches!(
             err,
             ReasmError::OverlappingChunk { offset: 0, .. }
@@ -524,26 +554,28 @@ mod tests {
         let mut r = Reassembler::new();
         let payload: Vec<u8> = (0..=255u8).cycle().take(100).collect();
         // A chunk from the first attempt survived: [60, 100).
-        r.insert_chunk(1, 0, 1, 60, 100, &payload[60..]).unwrap();
+        r.insert_chunk(1, 0, 1, 60, 100, &b(&payload[60..]))
+            .unwrap();
         // The retransmission re-chunks the message with different
         // boundaries; its pieces straddle the surviving interval.
         let (done, fresh) = r
-            .insert_chunk_lenient(1, 0, 1, 0, 100, &payload[..50])
+            .insert_chunk_lenient(1, 0, 1, 0, 100, &b(&payload[..50]))
             .unwrap();
         assert!(done.is_none());
         assert_eq!(fresh, 50);
         // [40, 80) overlaps both existing intervals; only [50, 60) is new.
         let (done, fresh) = r
-            .insert_chunk_lenient(1, 0, 1, 40, 100, &payload[40..80])
+            .insert_chunk_lenient(1, 0, 1, 40, 100, &b(&payload[40..80]))
             .unwrap();
         assert_eq!(fresh, 10);
         let done = done.expect("message complete once every byte is covered");
         assert_eq!(done.segments[0].as_ref(), payload.as_slice());
         // Entirely-covered chunks are pure duplicates.
         let mut r2 = Reassembler::new();
-        r2.insert_chunk(2, 0, 1, 0, 100, &payload[..50]).unwrap();
+        r2.insert_chunk(2, 0, 1, 0, 100, &b(&payload[..50]))
+            .unwrap();
         let (done, fresh) = r2
-            .insert_chunk_lenient(2, 0, 1, 10, 100, &payload[10..30])
+            .insert_chunk_lenient(2, 0, 1, 10, 100, &b(&payload[10..30]))
             .unwrap();
         assert!(done.is_none());
         assert_eq!(fresh, 0);
@@ -552,15 +584,15 @@ mod tests {
     #[test]
     fn chunk_past_total_rejected() {
         let mut r = Reassembler::new();
-        let err = r.insert_chunk(1, 0, 1, 90, 100, &[0; 20]).unwrap_err();
+        let err = r.insert_chunk(1, 0, 1, 90, 100, &b(&[0; 20])).unwrap_err();
         assert!(matches!(err, ReasmError::LengthMismatch { .. }));
     }
 
     #[test]
     fn inconsistent_total_len_rejected() {
         let mut r = Reassembler::new();
-        r.insert_chunk(1, 0, 1, 0, 100, &[0; 10]).unwrap();
-        let err = r.insert_chunk(1, 0, 1, 50, 200, &[0; 10]).unwrap_err();
+        r.insert_chunk(1, 0, 1, 0, 100, &b(&[0; 10])).unwrap();
+        let err = r.insert_chunk(1, 0, 1, 50, 200, &b(&[0; 10])).unwrap_err();
         assert!(matches!(err, ReasmError::LengthMismatch { .. }));
     }
 
@@ -590,11 +622,11 @@ mod tests {
     fn mixed_delivery_rejected() {
         let mut r = Reassembler::new();
         r.insert_eager(1, 0, 2, b(b"whole")).unwrap();
-        let err = r.insert_chunk(1, 0, 2, 0, 10, &[0; 5]).unwrap_err();
+        let err = r.insert_chunk(1, 0, 2, 0, 10, &b(&[0; 5])).unwrap_err();
         assert!(matches!(err, ReasmError::MixedDelivery { .. }));
 
         let mut r = Reassembler::new();
-        r.insert_chunk(2, 0, 1, 0, 10, &[0; 5]).unwrap();
+        r.insert_chunk(2, 0, 1, 0, 10, &b(&[0; 5])).unwrap();
         let err = r.insert_eager(2, 0, 1, b(b"whole")).unwrap_err();
         assert!(matches!(err, ReasmError::MixedDelivery { .. }));
     }
@@ -622,6 +654,80 @@ mod tests {
         assert_eq!(d2.into_contiguous(), b"2a2b");
         let d1 = r.insert_eager(1, 1, 2, b(b"1b")).unwrap().unwrap();
         assert_eq!(d1.into_contiguous(), b"1a1b");
+    }
+
+    #[test]
+    fn single_chunk_segment_is_delivered_zero_copy() {
+        // A chunk is a slice of a larger received block.
+        let block = Bytes::from((0..=255u8).cycle().take(4096).collect::<Vec<u8>>());
+        let chunk = block.slice(100..1100);
+        let mut r = Reassembler::new();
+        assert!(r.insert_eager(4, 0, 2, b(b"head")).unwrap().is_none());
+        let done = r
+            .insert_chunk(4, 1, 2, 0, 1000, &chunk)
+            .unwrap()
+            .expect("complete");
+        assert_eq!(
+            done.segments[1].as_ptr(),
+            chunk.as_ptr(),
+            "segment was copied"
+        );
+        assert_eq!(done.segments[1], chunk);
+        assert_eq!(r.copied_bytes(), 0);
+    }
+
+    #[test]
+    fn lenient_retransmitted_overlaps_deliver_identical_bytes() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(3000).collect();
+        let whole = Bytes::from(payload.clone());
+        // First attempt: two chunks survive. Retransmission re-chunks the
+        // segment with different boundaries straddling both.
+        let first = [(0usize, 700usize), (1800, 2400)];
+        let retry = [(0usize, 1000usize), (1000, 2000), (2000, 3000)];
+        let mut r = Reassembler::new();
+        for &(s, e) in &first {
+            let (done, fresh) = r
+                .insert_chunk_lenient(8, 0, 1, s as u64, 3000, &whole.slice(s..e))
+                .unwrap();
+            assert!(done.is_none());
+            assert_eq!(fresh, (e - s) as u64);
+        }
+        let mut done = None;
+        let mut fresh_total = 0;
+        for &(s, e) in &retry {
+            let (d, fresh) = r
+                .insert_chunk_lenient(8, 0, 1, s as u64, 3000, &whole.slice(s..e))
+                .unwrap();
+            fresh_total += fresh;
+            if d.is_some() {
+                done = d;
+            }
+        }
+        assert_eq!(fresh_total, 3000 - 700 - 600);
+        let done = done.expect("every byte covered");
+        assert_eq!(done.segments[0].as_ref(), payload.as_slice());
+        assert_eq!(r.copied_bytes(), 3000);
+    }
+
+    #[test]
+    fn copied_bytes_count_multi_piece_segments_only() {
+        let mut r = Reassembler::new();
+        let a = Bytes::from(vec![1u8; 500]);
+        let c = Bytes::from(vec![3u8; 300]);
+        // Message 1: eager segment + one single-piece chunked segment.
+        r.insert_eager(1, 0, 2, b(b"eager")).unwrap();
+        r.insert_chunk(1, 1, 2, 0, 500, &a).unwrap().unwrap();
+        assert_eq!(r.copied_bytes(), 0);
+        // Message 2: a single-piece segment and a three-piece one.
+        r.insert_chunk(2, 0, 2, 0, 300, &c).unwrap();
+        r.insert_chunk(2, 1, 2, 0, 500, &a.slice(..100)).unwrap();
+        r.insert_chunk(2, 1, 2, 300, 500, &a.slice(300..)).unwrap();
+        let done = r
+            .insert_chunk(2, 1, 2, 100, 500, &a.slice(100..300))
+            .unwrap()
+            .unwrap();
+        assert_eq!(done.segments[1], a);
+        assert_eq!(r.copied_bytes(), 500);
     }
 
     #[test]

@@ -160,8 +160,9 @@ proptest! {
         offsets.push(payload.len());
         offsets.sort_unstable();
         offsets.dedup();
-        let mut pieces: Vec<(u64, &[u8])> = offsets.windows(2)
-            .map(|w| (w[0] as u64, &payload[w[0]..w[1]]))
+        let original = Bytes::from(payload.clone());
+        let mut pieces: Vec<(u64, Bytes)> = offsets.windows(2)
+            .map(|w| (w[0] as u64, original.slice(w[0]..w[1])))
             .collect();
         // Shuffle deterministically.
         let mut rng = nmad_sim::Xoshiro256StarStar::new(seed);
@@ -171,7 +172,7 @@ proptest! {
         let mut done = None;
         let n = pieces.len();
         for (i, (off, data)) in pieces.into_iter().enumerate() {
-            let res = r.insert_chunk(42, 0, 1, off, payload.len() as u64, data).unwrap();
+            let res = r.insert_chunk(42, 0, 1, off, payload.len() as u64, &data).unwrap();
             if i + 1 == n {
                 done = res;
             } else {
@@ -288,7 +289,7 @@ proptest! {
                 return Err("chunk decoded as something else".into());
             };
             let res = r.insert_chunk(c.msg_id, c.seg_index, c.total_segs, c.offset,
-                c.total_len, c.data.as_ref()).unwrap();
+                c.total_len, &c.data).unwrap();
             if let Some(d) = res { done = Some(d); }
         }
         let done = done.expect("must complete once all chunks arrive");
