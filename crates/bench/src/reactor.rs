@@ -565,7 +565,7 @@ fn run_scale(spec: &ReactorSpec, client_exe: Option<&std::path::Path>) -> io::Re
         );
     }
 
-    let threads = reactor::worker_count(0);
+    let threads = reactor::worker_count();
     let mut pool = ReactorPool::new(threads, SharedPool::new(256))?;
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
@@ -694,7 +694,7 @@ fn run_perthread(spec: &ReactorSpec) -> PerThreadLeg {
         reactor_ns,
         parallel_ns,
         payload_bytes: (spec.messages * spec.msg_size) as u64,
-        reactor_threads: reactor::worker_count(0) as u64,
+        reactor_threads: reactor::worker_count() as u64,
         parallel_threads: rails * 2,
     }
 }

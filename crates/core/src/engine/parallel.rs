@@ -565,6 +565,8 @@ pub struct ParallelHub {
     pub rx_errors: AtomicU64,
     /// Transport I/O errors reported by workers.
     pub io_errors: AtomicU64,
+    /// Outgoing frames the transport's fault injection dropped.
+    pub tx_dropped: AtomicU64,
     /// Per-worker flight-recorder shards deposited at worker exit,
     /// merged with the engine ring at export.
     shards: Mutex<Vec<crate::obs::Event>>,
@@ -613,6 +615,7 @@ impl ParallelHub {
             next_recv_id: AtomicU64::new(0),
             rx_errors: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
+            tx_dropped: AtomicU64::new(0),
             shards: Mutex::new(Vec::new()),
             overload,
             tenant_inflight: Mutex::new(HashMap::new()),
@@ -769,13 +772,9 @@ impl ParallelHub {
     }
 
     /// Current reactor telemetry, straight from the installed source
-    /// (default when no reactor is attached).
-    pub fn reactor_snapshot(&self) -> crate::stats::ReactorStats {
-        self.reactor_source
-            .lock()
-            .as_ref()
-            .map(|s| s())
-            .unwrap_or_default()
+    /// (`None` when no reactor is attached).
+    pub fn reactor_snapshot(&self) -> Option<crate::stats::ReactorStats> {
+        self.reactor_source.lock().as_ref().map(|s| s())
     }
 
     /// Ask every thread of the pipeline to wind down.

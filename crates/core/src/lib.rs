@@ -23,7 +23,8 @@
 //! the [`sampling::OnlineCalibrator`] that keeps those ratios tracking
 //! observed transfer times at runtime; [`stats`] counts what the
 //! strategies actually did so tests can assert on behaviour, not just
-//! timing.
+//! timing; [`endpoint`] is the application-facing endpoint every real
+//! transport hands its link workers to.
 //!
 //! # A complete round trip
 //!
@@ -78,6 +79,7 @@ pub mod api;
 pub mod chaos;
 pub mod config;
 pub mod driver;
+pub mod endpoint;
 pub mod engine;
 pub mod error;
 pub mod health;
@@ -92,6 +94,7 @@ pub use api::{MessageBuilder, MessageReader};
 pub use chaos::ChaosState;
 pub use config::{EngineConfig, OverloadConfig, ZooConfig};
 pub use driver::{TxDecision, TxToken};
+pub use endpoint::{Endpoint, RecvHandle, SendHandle, SerialState};
 pub use engine::parallel::{
     outbox, spsc, AppOp, Completion, MpscQueue, OutboxReceiver, OutboxSender, ParallelHub,
     SchedPass, SchedScratch, SpscConsumer, SpscProducer, SyscallCounters, WorkSignal,

@@ -20,30 +20,33 @@
 //! reordering in the fault injector are refcount bumps; corruption does a
 //! copy-on-write of the one affected part only (mutating in place would
 //! reach back into the sender's retransmission state).
+//!
+//! The crate holds only the fabric's config, its link workers and the
+//! [`pair`] builder. The [`Endpoint`] the builder returns, with its
+//! handles, waits and telemetry accessors, is [`nmad_core::Endpoint`],
+//! shared with every other transport.
 
 #![warn(missing_docs)]
 // Copy-regression gate: see DESIGN.md "Datapath and copy discipline".
 #![deny(clippy::unnecessary_to_owned, clippy::redundant_clone)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use nmad_core::endpoint::open_conns;
 use nmad_core::engine::Engine;
-use nmad_core::health::RailState;
-use nmad_core::request::{RecvId, SendId};
 use nmad_core::{
     ChaosState, Completion, EngineConfig, Event, EventKind, FlightRecorder, OutboxReceiver,
-    ParallelHub,
+    ParallelHub, SerialState,
 };
 use nmad_model::{Platform, RailId};
 use nmad_sim::Xoshiro256StarStar;
-use nmad_wire::reassembly::MessageAssembly;
-use nmad_wire::{ConnId, PacketFrame};
-use parking_lot::{Condvar, Mutex};
+use nmad_wire::PacketFrame;
+
+pub use nmad_core::{Endpoint, RecvHandle, SendHandle};
 
 /// A scheduled outage of one rail: every packet on `rail` is dropped
 /// from `down_at` until `up_at` (measured from fabric construction).
@@ -119,353 +122,6 @@ impl FabricConfig {
     }
 }
 
-struct Shared {
-    engine: Mutex<Engine>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-    /// Packets rejected on receive (decode/CRC/reassembly errors).
-    rx_errors: AtomicU64,
-    /// Packets the fault injector dropped on this endpoint's tx side.
-    tx_dropped: AtomicU64,
-    /// Wakeup for this endpoint's worker: set under `work` and notified
-    /// whenever new work arrives (a submit, a retransmit request, or a
-    /// delivery from the peer worker), so the idle loop sleeps on a
-    /// condvar instead of spin-polling.
-    work: Mutex<bool>,
-    work_cv: Condvar,
-}
-
-impl Shared {
-    /// Wake this endpoint's worker.
-    fn kick(&self) {
-        *self.work.lock() = true;
-        self.work_cv.notify_one();
-    }
-}
-
-/// Parallel-runtime shared state: the hub plus the counters the serial
-/// runtime keeps in [`Shared`].
-#[derive(Clone)]
-struct ParShared {
-    hub: Arc<ParallelHub>,
-    /// Packets the fault injector dropped on this endpoint's tx side.
-    tx_dropped: Arc<AtomicU64>,
-}
-
-/// Which runtime drives an endpoint's engine.
-#[derive(Clone)]
-enum Fabric {
-    /// Single progress thread holding the engine lock across the step.
-    Serial(Arc<Shared>),
-    /// Sharded pipeline: scheduler + per-rail TX/RX workers; the shaped
-    /// wire time is slept out in the TX workers, outside the engine lock.
-    Parallel(ParShared),
-}
-
-impl Fabric {
-    fn engine(&self) -> &Mutex<Engine> {
-        match self {
-            Fabric::Serial(s) => &s.engine,
-            Fabric::Parallel(p) => p.hub.engine(),
-        }
-    }
-
-    /// Condvar notified when app-visible completions may have landed.
-    fn cv(&self) -> &Condvar {
-        match self {
-            Fabric::Serial(s) => &s.cv,
-            Fabric::Parallel(p) => p.hub.app_cv(),
-        }
-    }
-}
-
-/// One endpoint of the in-process fabric.
-pub struct Endpoint {
-    fabric: Fabric,
-    /// Serial: the single progress thread. Parallel: per-rail TX/RX
-    /// workers first, the scheduler last (joined in that order).
-    workers: Vec<JoinHandle<()>>,
-    conns: Vec<ConnId>,
-}
-
-/// Handle to a send in flight.
-pub struct SendHandle {
-    fabric: Fabric,
-    id: SendId,
-}
-
-/// Handle to a posted receive.
-pub struct RecvHandle {
-    fabric: Fabric,
-    id: RecvId,
-}
-
-/// Block on `fabric`'s completion condvar until `done` or `timeout`.
-fn wait_on<T>(
-    fabric: &Fabric,
-    timeout: Duration,
-    mut done: impl FnMut(&mut Engine) -> Option<T>,
-) -> Option<T> {
-    let deadline = Instant::now() + timeout;
-    let mut eng = fabric.engine().lock();
-    loop {
-        if let Some(v) = done(&mut eng) {
-            return Some(v);
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return None;
-        }
-        fabric.cv().wait_for(&mut eng, deadline - now);
-    }
-}
-
-impl SendHandle {
-    /// Block until the send completes locally, or `timeout` expires.
-    /// Returns true on completion.
-    pub fn wait(&self, timeout: Duration) -> bool {
-        wait_on(&self.fabric, timeout, |eng| {
-            eng.send_complete(self.id).then_some(())
-        })
-        .is_some()
-    }
-
-    /// Block until the *peer confirms delivery* (requires
-    /// `EngineConfig::acked` on both endpoints), or `timeout` expires.
-    pub fn wait_acked(&self, timeout: Duration) -> bool {
-        wait_on(&self.fabric, timeout, |eng| {
-            eng.send_acked(self.id).then_some(())
-        })
-        .is_some()
-    }
-
-    /// Manually re-enqueue the message for transmission (acked mode).
-    /// Normally unnecessary: the progress thread retransmits
-    /// automatically on adaptive timeouts. See
-    /// [`nmad_core::Engine::retransmit`].
-    pub fn retransmit(&self) -> bool {
-        let ok = self.fabric.engine().lock().retransmit(self.id);
-        if ok {
-            match &self.fabric {
-                Fabric::Serial(s) => s.kick(),
-                Fabric::Parallel(p) => p.hub.kick_sched(),
-            }
-        }
-        ok
-    }
-}
-
-impl RecvHandle {
-    /// Block until the message arrives, or `timeout` expires.
-    pub fn wait(&self, timeout: Duration) -> Option<MessageAssembly> {
-        wait_on(&self.fabric, timeout, |eng| eng.try_recv(self.id))
-    }
-}
-
-impl Endpoint {
-    /// Logical channels opened at construction.
-    pub fn conns(&self) -> &[ConnId] {
-        &self.conns
-    }
-
-    /// Submit a non-blocking send.
-    pub fn send(&self, conn: ConnId, segments: Vec<Bytes>) -> SendHandle {
-        let id = match &self.fabric {
-            Fabric::Serial(s) => {
-                let id = s.engine.lock().submit_send(conn, segments);
-                s.kick();
-                id
-            }
-            // The hub queues without the engine lock and kicks the
-            // scheduler itself. Submission only errors after shutdown,
-            // and this endpoint owns the hub's lifetime.
-            Fabric::Parallel(p) => p
-                .hub
-                .submit_send(conn, segments)
-                .expect("endpoint not shut down"),
-        };
-        SendHandle {
-            fabric: self.fabric.clone(),
-            id,
-        }
-    }
-
-    /// Post a non-blocking receive.
-    pub fn recv(&self, conn: ConnId) -> RecvHandle {
-        let id = match &self.fabric {
-            Fabric::Serial(s) => {
-                let id = s.engine.lock().post_recv(conn);
-                s.kick();
-                id
-            }
-            Fabric::Parallel(p) => p.hub.post_recv(conn).expect("endpoint not shut down"),
-        };
-        RecvHandle {
-            fabric: self.fabric.clone(),
-            id,
-        }
-    }
-
-    /// Convenience: send and wait.
-    pub fn send_blocking(&self, conn: ConnId, segments: Vec<Bytes>, timeout: Duration) -> bool {
-        self.send(conn, segments).wait(timeout)
-    }
-
-    /// Convenience: receive and wait.
-    pub fn recv_blocking(&self, conn: ConnId, timeout: Duration) -> Option<MessageAssembly> {
-        self.recv(conn).wait(timeout)
-    }
-
-    /// Submit a send under the full overload policy (parallel fabric
-    /// only): the submission is refused with
-    /// [`nmad_core::SubmitError::WouldBlock`] when the hub's queue
-    /// depth, pool watermark, or per-tenant quota is exceeded — see
-    /// [`nmad_core::OverloadConfig`]. On the serial fabric there is no
-    /// admission boundary and this behaves like [`Endpoint::send`].
-    pub fn try_send(
-        &self,
-        conn: ConnId,
-        segments: Vec<Bytes>,
-    ) -> Result<SendHandle, nmad_core::SubmitError> {
-        match &self.fabric {
-            Fabric::Serial(_) => Ok(self.send(conn, segments)),
-            Fabric::Parallel(p) => p.hub.try_submit_send(conn, segments).map(|id| SendHandle {
-                fabric: self.fabric.clone(),
-                id,
-            }),
-        }
-    }
-
-    /// Overload rejection counters (all zero on the serial fabric,
-    /// which has no admission boundary).
-    pub fn overload_stats(&self) -> nmad_core::OverloadStats {
-        match &self.fabric {
-            Fabric::Serial(_) => nmad_core::OverloadStats::default(),
-            Fabric::Parallel(p) => p.hub.overload_stats(),
-        }
-    }
-
-    /// Buffer-pool ledger check: outstanding pool buffers not accounted
-    /// for by any in-flight transmission. Non-zero means a leak.
-    pub fn pool_leaks(&self) -> u64 {
-        self.fabric.engine().lock().pool_leaks()
-    }
-
-    /// Engine statistics snapshot.
-    pub fn stats(&self) -> nmad_core::EngineStats {
-        self.fabric.engine().lock().stats().clone()
-    }
-
-    /// Receive-side errors (decode/CRC/reassembly) counted so far.
-    pub fn rx_errors(&self) -> u64 {
-        match &self.fabric {
-            Fabric::Serial(s) => s.rx_errors.load(Ordering::Relaxed),
-            Fabric::Parallel(p) => p.hub.rx_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Packets dropped by the fault injector on this endpoint's tx side.
-    pub fn tx_dropped(&self) -> u64 {
-        match &self.fabric {
-            Fabric::Serial(s) => s.tx_dropped.load(Ordering::Relaxed),
-            Fabric::Parallel(p) => p.tx_dropped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current health state of every rail.
-    pub fn rail_states(&self) -> Vec<RailState> {
-        self.fabric.engine().lock().rail_states()
-    }
-
-    /// Full health state history of one rail, oldest first.
-    pub fn rail_history(&self, rail: usize) -> Vec<RailState> {
-        self.fabric
-            .engine()
-            .lock()
-            .health()
-            .rail(RailId(rail))
-            .history()
-            .to_vec()
-    }
-
-    /// Timer and dwell-time telemetry of one rail (SRTT/RTTVAR/RTO and
-    /// per-state dwell times, as of the engine clock).
-    pub fn rail_telemetry(&self, rail: usize) -> nmad_core::RailTelemetry {
-        self.fabric.engine().lock().rail_telemetry(rail)
-    }
-
-    /// Snapshot of the recorded flight events, oldest first. Empty unless
-    /// the endpoint was built with a nonzero
-    /// `EngineConfig::record_capacity`. In parallel mode this merges the
-    /// engine ring with the per-worker shards deposited so far.
-    pub fn events(&self) -> Vec<nmad_core::Event> {
-        match &self.fabric {
-            Fabric::Serial(s) => s.engine.lock().recorder().events(),
-            Fabric::Parallel(p) => p.hub.merged_events(),
-        }
-    }
-
-    /// Fold pending recorder events into the telemetry windows and
-    /// render the Prometheus text exposition. `None` unless the
-    /// endpoint was built with `EngineConfig::telemetry` enabled.
-    pub fn telemetry_prometheus(&self) -> Option<String> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        let stats = eng.stats().clone();
-        eng.telemetry()
-            .map(|agg| nmad_core::obs::to_prometheus(agg, &stats))
-    }
-
-    /// The telemetry time series as JSONL, one closed window per line
-    /// (oldest first, at most the configured ring depth).
-    pub fn telemetry_jsonl(&self) -> Option<String> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.telemetry().map(nmad_core::obs::windows_jsonl)
-    }
-
-    /// Snapshot of the most recently closed telemetry window.
-    pub fn telemetry_latest(&self) -> Option<nmad_core::Window> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.telemetry().and_then(|agg| agg.latest().cloned())
-    }
-
-    /// Watchdog alerts fired so far (empty without a watchdog).
-    pub fn alerts(&self) -> Vec<nmad_core::Alert> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.watchdog()
-            .map(|d| d.alerts().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Machine-readable watchdog verdict. `None` unless the endpoint
-    /// was built with `EngineConfig::watchdog` enabled.
-    pub fn watchdog_verdict(&self) -> Option<String> {
-        let mut eng = self.fabric.engine().lock();
-        eng.fold_telemetry();
-        eng.watchdog().map(|d| d.verdict_json())
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        match &self.fabric {
-            Fabric::Serial(s) => {
-                s.shutdown.store(true, Ordering::SeqCst);
-                s.kick();
-            }
-            Fabric::Parallel(p) => p.hub.begin_shutdown(),
-        }
-        // Parallel: I/O workers were pushed before the scheduler, so they
-        // join first and their final completions get drained.
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 struct InFlight {
     ready_at: Instant,
     token: nmad_core::driver::TxToken,
@@ -473,9 +129,9 @@ struct InFlight {
 }
 
 struct Worker {
-    shared: Arc<Shared>,
+    shared: Arc<SerialState>,
     /// The peer endpoint's shared state, to wake its worker on delivery.
-    peer: Arc<Shared>,
+    peer: Arc<SerialState>,
     platform: Platform,
     rx: Vec<Receiver<PacketFrame>>,
     tx: Vec<Sender<PacketFrame>>,
@@ -500,19 +156,14 @@ impl Worker {
     fn run(mut self) {
         loop {
             let progressed = self.step();
-            self.shared.cv.notify_all();
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            self.shared.notify_app();
+            if self.shared.is_shutdown() {
                 break;
             }
             if !progressed {
                 // Sleep until someone kicks us or the next engine/shaping
                 // deadline — no spin-polling.
-                let wait = self.idle_wait();
-                let mut pending = self.shared.work.lock();
-                if !*pending {
-                    self.shared.work_cv.wait_for(&mut pending, wait);
-                }
-                *pending = false;
+                self.shared.wait_for_work(self.idle_wait());
             }
         }
     }
@@ -525,7 +176,7 @@ impl Worker {
         for f in self.inflight.iter().flatten() {
             wait = wait.min(f.ready_at.saturating_duration_since(now));
         }
-        if let Some(deadline_ns) = self.shared.engine.lock().next_deadline_ns() {
+        if let Some(deadline_ns) = self.shared.engine().lock().next_deadline_ns() {
             let now_ns = self.start.elapsed().as_nanos() as u64;
             wait = wait.min(Duration::from_nanos(deadline_ns.saturating_sub(now_ns)));
         }
@@ -537,7 +188,7 @@ impl Worker {
         let now = Instant::now();
         let now_ns = now.saturating_duration_since(self.start).as_nanos() as u64;
         let mut to_deliver: Vec<(usize, PacketFrame)> = Vec::new();
-        let mut eng = self.shared.engine.lock();
+        let mut eng = self.shared.engine().lock();
 
         // 0. Run the engine's timers: adaptive retransmission, rail
         // health bookkeeping, reinstatement probes.
@@ -762,7 +413,6 @@ struct ParTxWorker {
     /// Reorder-injector hold slot for this rail.
     held: Option<PacketFrame>,
     rng: Xoshiro256StarStar,
-    tx_dropped: Arc<AtomicU64>,
     start: Instant,
     /// Per-thread recorder shard; deposited into the hub at exit.
     shard: FlightRecorder,
@@ -824,7 +474,7 @@ impl ParTxWorker {
         match &self.faults {
             None => {
                 if boost > 0.0 && self.rng.chance(boost) {
-                    self.tx_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.hub.tx_dropped.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
                 let _ = self.tx.send(d.frame);
@@ -839,7 +489,7 @@ impl ParTxWorker {
                     boost,
                     &mut self.rng,
                     &mut self.held,
-                    &self.tx_dropped,
+                    &self.hub.tx_dropped,
                     d.frame,
                     &mut |f| {
                         let _ = tx.send(f);
@@ -891,6 +541,11 @@ impl ParRxWorker {
     }
 }
 
+/// One direction of the fabric: a channel per rail.
+fn rail_channels(n_rails: usize) -> (Vec<Sender<PacketFrame>>, Vec<Receiver<PacketFrame>>) {
+    (0..n_rails).map(|_| unbounded()).unzip()
+}
+
 /// Build a connected pair of endpoints. With
 /// [`EngineConfig::parallel`] off each endpoint gets one progress
 /// thread; with it on, each gets the sharded pipeline (scheduler plus
@@ -902,97 +557,43 @@ pub fn pair(config: FabricConfig) -> (Endpoint, Endpoint) {
         return pair_parallel(&config, cfg_engine);
     }
     let n_rails = config.platform.rail_count();
-
-    let mk_shared = || {
-        Arc::new(Shared {
-            engine: Mutex::new(Engine::new(
-                cfg_engine.clone(),
-                config.platform.rails.clone(),
-                vec![],
-            )),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            rx_errors: AtomicU64::new(0),
-            tx_dropped: AtomicU64::new(0),
-            work: Mutex::new(false),
-            work_cv: Condvar::new(),
-        })
+    let mk_side = || {
+        let mut engine = Engine::new(cfg_engine.clone(), config.platform.rails.clone(), vec![]);
+        let conns = open_conns(&mut engine, config.conns);
+        (SerialState::new(engine), conns)
     };
-    let shared_a = mk_shared();
-    let shared_b = mk_shared();
-
-    let mut conns_a = Vec::new();
-    let mut conns_b = Vec::new();
-    for _ in 0..config.conns.max(1) {
-        conns_a.push(shared_a.engine.lock().conn_open());
-        conns_b.push(shared_b.engine.lock().conn_open());
-    }
-
-    let mut a_to_b_tx = Vec::new();
-    let mut a_to_b_rx = Vec::new();
-    let mut b_to_a_tx = Vec::new();
-    let mut b_to_a_rx = Vec::new();
-    for _ in 0..n_rails {
-        let (t, r) = unbounded();
-        a_to_b_tx.push(t);
-        a_to_b_rx.push(r);
-        let (t, r) = unbounded();
-        b_to_a_tx.push(t);
-        b_to_a_rx.push(r);
-    }
+    let (shared_a, conns_a) = mk_side();
+    let (shared_b, conns_b) = mk_side();
+    let (a_to_b_tx, a_to_b_rx) = rail_channels(n_rails);
+    let (b_to_a_tx, b_to_a_rx) = rail_channels(n_rails);
 
     let start = Instant::now();
-    let mk_worker = |shared: Arc<Shared>, peer: Arc<Shared>, rx, tx, seed| Worker {
-        shared,
-        peer,
-        platform: config.platform.clone(),
-        rx,
-        tx,
-        inflight: (0..n_rails).map(|_| None).collect(),
-        held: (0..n_rails).map(|_| None).collect(),
-        start,
-        time_scale: config.time_scale,
-        faults: config.faults.clone(),
-        chaos: config.chaos.clone(),
-        rng: Xoshiro256StarStar::new(seed),
-    };
-
     let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
-    let worker_a = mk_worker(
-        shared_a.clone(),
-        shared_b.clone(),
-        b_to_a_rx,
-        a_to_b_tx,
-        seed ^ 0xA,
-    );
-    let worker_b = mk_worker(
-        shared_b.clone(),
-        shared_a.clone(),
-        a_to_b_rx,
-        b_to_a_tx,
-        seed ^ 0xB,
-    );
-
-    let ha = std::thread::Builder::new()
-        .name("nmad-mem-a".into())
-        .spawn(move || worker_a.run())
-        .expect("spawn worker a");
-    let hb = std::thread::Builder::new()
-        .name("nmad-mem-b".into())
-        .spawn(move || worker_b.run())
-        .expect("spawn worker b");
-
+    let spawn = |shared: &Arc<SerialState>, peer: &Arc<SerialState>, rx, tx, seed, name: &str| {
+        let worker = Worker {
+            shared: shared.clone(),
+            peer: peer.clone(),
+            platform: config.platform.clone(),
+            rx,
+            tx,
+            inflight: (0..n_rails).map(|_| None).collect(),
+            held: (0..n_rails).map(|_| None).collect(),
+            start,
+            time_scale: config.time_scale,
+            faults: config.faults.clone(),
+            chaos: config.chaos.clone(),
+            rng: Xoshiro256StarStar::new(seed),
+        };
+        std::thread::Builder::new()
+            .name(format!("nmad-mem-{name}"))
+            .spawn(move || worker.run())
+            .expect("spawn worker")
+    };
+    let ha = spawn(&shared_a, &shared_b, b_to_a_rx, a_to_b_tx, seed ^ 0xA, "a");
+    let hb = spawn(&shared_b, &shared_a, a_to_b_rx, b_to_a_tx, seed ^ 0xB, "b");
     (
-        Endpoint {
-            fabric: Fabric::Serial(shared_a),
-            workers: vec![ha],
-            conns: conns_a,
-        },
-        Endpoint {
-            fabric: Fabric::Serial(shared_b),
-            workers: vec![hb],
-            conns: conns_b,
-        },
+        Endpoint::serial(shared_a, ha, conns_a),
+        Endpoint::serial(shared_b, hb, conns_b),
     )
 }
 
@@ -1001,19 +602,8 @@ fn pair_parallel(config: &FabricConfig, cfg_engine: EngineConfig) -> (Endpoint, 
     let n_rails = config.platform.rail_count();
     let record_capacity = cfg_engine.record_capacity;
     let seed = config.faults.as_ref().map(|f| f.seed).unwrap_or(0);
-
-    let mut a_to_b_tx = Vec::new();
-    let mut a_to_b_rx = Vec::new();
-    let mut b_to_a_tx = Vec::new();
-    let mut b_to_a_rx = Vec::new();
-    for _ in 0..n_rails {
-        let (t, r) = unbounded();
-        a_to_b_tx.push(t);
-        a_to_b_rx.push(r);
-        let (t, r) = unbounded();
-        b_to_a_tx.push(t);
-        b_to_a_rx.push(r);
-    }
+    let (a_to_b_tx, a_to_b_rx) = rail_channels(n_rails);
+    let (b_to_a_tx, b_to_a_rx) = rail_channels(n_rails);
 
     let start = Instant::now();
     let build_side = |txs: Vec<Sender<PacketFrame>>,
@@ -1021,12 +611,8 @@ fn pair_parallel(config: &FabricConfig, cfg_engine: EngineConfig) -> (Endpoint, 
                       side_seed: u64,
                       name: &str| {
         let mut engine = Engine::new(cfg_engine.clone(), config.platform.rails.clone(), vec![]);
-        let mut conns = Vec::new();
-        for _ in 0..config.conns.max(1) {
-            conns.push(engine.conn_open());
-        }
+        let conns = open_conns(&mut engine, config.conns);
         let (hub, senders, receivers) = ParallelHub::new(engine);
-        let tx_dropped = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::new();
         for (rail, ((outbox, tx), rx)) in receivers.into_iter().zip(txs).zip(rxs).enumerate() {
             let txw = ParTxWorker {
@@ -1043,7 +629,6 @@ fn pair_parallel(config: &FabricConfig, cfg_engine: EngineConfig) -> (Endpoint, 
                 rng: Xoshiro256StarStar::new(
                     side_seed ^ (rail as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ),
-                tx_dropped: tx_dropped.clone(),
                 start,
                 shard: FlightRecorder::with_capacity(record_capacity),
             };
@@ -1076,11 +661,7 @@ fn pair_parallel(config: &FabricConfig, cfg_engine: EngineConfig) -> (Endpoint, 
                 .spawn(move || sched_hub.run_scheduler(senders, start))
                 .expect("spawn scheduler"),
         );
-        Endpoint {
-            fabric: Fabric::Parallel(ParShared { hub, tx_dropped }),
-            workers,
-            conns,
-        }
+        Endpoint::parallel(hub, workers, conns, None)
     };
 
     let a = build_side(a_to_b_tx, b_to_a_rx, seed ^ 0xA, "a");
@@ -1091,7 +672,8 @@ fn pair_parallel(config: &FabricConfig, cfg_engine: EngineConfig) -> (Endpoint, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmad_core::StrategyKind;
+    use bytes::Bytes;
+    use nmad_core::{RailState, StrategyKind};
     use nmad_model::platform;
 
     const T: Duration = Duration::from_secs(10);
@@ -1500,7 +1082,7 @@ mod tests {
     /// Reference-size split share of `rail` from the engine's live
     /// tables, in permille.
     fn split_share_permille(ep: &Endpoint, rail: usize) -> u16 {
-        let eng = ep.fabric.engine().lock();
+        let eng = ep.engine().lock();
         let refs: Vec<&nmad_core::PerfTable> = eng.tables().iter().collect();
         nmad_core::split_ratio_permille(&refs, 1 << 20)[rail]
     }

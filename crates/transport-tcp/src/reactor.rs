@@ -142,13 +142,8 @@ pub fn is_fd_limit(e: &io::Error) -> bool {
     matches!(e.raw_os_error(), Some(23) | Some(24))
 }
 
-/// Reactor worker threads for a configured count: 0 (the
-/// [`nmad_core::EngineConfig::reactor_threads`] default) auto-sizes to
-/// `min(available cores, 4)`.
-pub fn worker_count(configured: usize) -> usize {
-    if configured > 0 {
-        return configured;
-    }
+/// Reactor worker threads: `min(available cores, 4)`.
+pub fn worker_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -1159,6 +1154,7 @@ impl Worker {
                                 // aligned). Bandwidth pacing is not
                                 // modelled here — sleeping would stall
                                 // every conn this worker multiplexes.
+                                r.hub.tx_dropped.fetch_add(1, Ordering::Relaxed);
                                 r.hub.push_completion(
                                     r.rail,
                                     Completion::TxDone {
@@ -1314,7 +1310,7 @@ impl ReactorPool {
 
     /// Pool with the auto-sized worker count (`min(cores, 4)`).
     pub fn with_default_workers(pool: SharedPool) -> io::Result<Self> {
-        Self::new(worker_count(0), pool)
+        Self::new(worker_count(), pool)
     }
 
     /// Register an echo connection (bench servers, `nmad reactor`).

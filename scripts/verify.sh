@@ -122,6 +122,10 @@ grep -q '"clean":true' "$wd_tmp" \
     || { echo "clean soak verdict is not clean:"; cat "$wd_tmp"; exit 1; }
 
 echo "==> cargo fmt --check"
-cargo fmt --check 2>/dev/null || echo "    (rustfmt unavailable or diffs; non-fatal)"
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --check
+else
+    echo "    (rustfmt not installed; skipped)"
+fi
 
 echo "verify: OK"
